@@ -104,9 +104,6 @@ pub struct HarnessArgs {
     pub serial: bool,
     /// Also write the sweep results to `BENCH_<name>.json`.
     pub json: bool,
-    /// Lane-batching width override (`--lanes <K>`; 0 disables batching).
-    /// `None` keeps the spec's own width.
-    pub lanes: Option<usize>,
     /// Persistent evaluation-cache directory (`--cache-dir <DIR>`): already
     /// simulated evaluations are served from disk, new ones appended. Rows
     /// are byte-identical with or without it. `None` keeps runs memory-only.
@@ -114,19 +111,17 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `full`, `serial`, `--json`, `--lanes <K>` and
-    /// `--cache-dir <DIR>` out of the process arguments.
+    /// Parses `full`, `serial`, `--json` and `--cache-dir <DIR>` out of the
+    /// process arguments.
     ///
     /// # Panics
     ///
-    /// Panics when `--lanes` is missing its value or the value is not a
-    /// non-negative integer, or when `--cache-dir` is missing its directory.
+    /// Panics when `--cache-dir` is missing its directory.
     pub fn from_env() -> Self {
         let mut args = HarnessArgs {
             mode: Mode::from_args(),
             serial: false,
             json: false,
-            lanes: None,
             cache_dir: None,
         };
         let argv: Vec<String> = std::env::args().collect();
@@ -135,17 +130,6 @@ impl HarnessArgs {
             match argv[i].as_str() {
                 "serial" | "--serial" => args.serial = true,
                 "--json" => args.json = true,
-                "--lanes" => {
-                    let value = argv.get(i + 1).unwrap_or_else(|| {
-                        panic!("--lanes requires a value (0 disables batching)")
-                    });
-                    args.lanes = Some(
-                        value
-                            .parse()
-                            .unwrap_or_else(|_| panic!("--lanes: `{value}` is not a lane count")),
-                    );
-                    i += 1;
-                }
                 "--cache-dir" => {
                     let value = argv
                         .get(i + 1)
@@ -188,24 +172,19 @@ pub struct BenchReport {
 /// valid configurations) or if the JSON report cannot be written.
 pub fn run_spec(spec: &SweepSpec, args: &HarnessArgs) -> SweepResults {
     let mut spec = spec.clone();
-    if let Some(lanes) = args.lanes {
-        spec = spec.with_lanes(lanes);
-    }
     if let Some(dir) = &args.cache_dir {
         spec = spec.with_cache_dir(dir.clone());
     }
     let spec = &spec;
-    // Cache and batch counters are sampled from the process-wide totals
-    // around the service call: the per-run counters live on `SweepOutcome`,
-    // which the service facade's pinned `Response` shape does not expose.
-    // Each harness binary runs exactly one job per process, so the delta is
-    // that job's — a multi-job host must not reuse this sampling pattern.
+    // Cache counters are sampled from the process-wide totals around the
+    // service call: the per-run counters live on `SweepOutcome`, which the
+    // service facade's pinned `Response` shape does not expose. Each harness
+    // binary runs exactly one job per process, so the delta is that job's —
+    // a multi-job host must not reuse this sampling pattern.
     let cache_before = msfu_core::process_cache_stats();
-    let batch_before = msfu_core::process_batch_stats();
     let request = Request::sweep(spec.name.clone(), spec.clone()).with_serial(args.serial);
     let response = Service::new().run(&request, &JobHandle::new(), &NoProgress);
     let cache = msfu_core::process_cache_stats().since(&cache_before);
-    let batch = msfu_core::process_batch_stats().since(&batch_before);
     let results = match response.result {
         Ok(Payload::Sweep(results)) => results,
         Ok(_) => unreachable!("a sweep request yields a sweep payload"),
@@ -224,15 +203,9 @@ pub fn run_spec(spec: &SweepSpec, args: &HarnessArgs) -> SweepResults {
         disk_summary(&cache, spec.cache_dir.is_some()),
     );
     if args.json {
-        // The run's counters carry the process-wide maximum lane width; pin
-        // the stamp to this spec's effective width instead.
-        let batch = (spec.lanes > 1).then(|| msfu_core::BatchStats {
-            lane_capacity: spec.lanes.min(msfu_sim::MAX_LANES),
-            ..batch
-        });
-        let stamp = perf::stamp(spec, &results, wall, !args.serial, Some(cache), batch);
+        let stamp = perf::stamp(spec, &results, wall, !args.serial, Some(cache));
         eprintln!(
-            "[sweep {}] {:.0} cycles/s{}{}{}",
+            "[sweep {}] {:.0} cycles/s{}{}",
             spec.name,
             stamp.cycles_per_second,
             stamp
@@ -255,18 +228,6 @@ pub fn run_spec(spec: &SweepSpec, args: &HarnessArgs) -> SweepResults {
                     )
                 })
                 .unwrap_or_default(),
-            stamp
-                .batch
-                .as_ref()
-                .map(|b| {
-                    format!(
-                        "; batch {} lanes, {:.0}% occupancy: {:.1}x vs sequential",
-                        b.lane_capacity,
-                        b.occupancy * 100.0,
-                        b.speedup_vs_sequential
-                    )
-                })
-                .unwrap_or_default()
         );
         let report = BenchReport {
             name: spec.name.clone(),

@@ -15,14 +15,14 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-use msfu_core::{effective_factory, BatchStats, CacheStats, SweepResults, SweepSpec};
+use msfu_core::{effective_factory, CacheStats, SweepResults, SweepSpec};
 use msfu_distill::Factory;
 use msfu_graph::InteractionGraph;
 use msfu_layout::{
     force_directed_config_from_params, reference as layout_reference, FactoryMapper,
     ForceDirectedMapper, LinearMapper,
 };
-use msfu_sim::{BatchEngine, BatchLane, SimEngine};
+use msfu_sim::SimEngine;
 
 /// How often the dense-contention point is re-simulated per engine. The
 /// simulators are deterministic, so repeats only smooth wall-clock noise.
@@ -30,18 +30,6 @@ const DENSE_REPEATS: u32 = 5;
 
 /// How often the mapping-phase point is re-refined per implementation.
 const MAPPING_REPEATS: u32 = 3;
-
-/// Minimum batched wall time the lane microbenchmark calibrates itself to,
-/// seconds. Keeps `perf.batch.batched_seconds` above bench-diff's 0.1s
-/// gating floor so the speedup is actually gated, and far enough from timer
-/// granularity to be meaningful. The calibration run is colder than the
-/// steady-state repeats, so the target carries a generous margin over the
-/// floor.
-const BATCH_MIN_SECONDS: f64 = 0.3;
-
-/// Upper bound on the calibrated repeat count (a pathological tiny point
-/// would otherwise loop for ever).
-const BATCH_MAX_REPEATS: u32 = 20_000;
 
 /// Wall-time and throughput metadata stamped into a JSON report.
 #[derive(Debug, Clone, Serialize)]
@@ -64,49 +52,6 @@ pub struct PerfStamp {
     /// Evaluation-cache hit/miss counters of the run (absent when the caller
     /// did not sample them).
     pub cache: Option<CacheStats>,
-    /// Lane-batching occupancy of the run plus the batched-vs-sequential
-    /// microbenchmark (absent when batching was off or the caller did not
-    /// sample the counters).
-    pub batch: Option<BatchPerf>,
-}
-
-/// Lane-batching stamp: the sweep's occupancy counters plus a
-/// batched-vs-sequential timing of the sweep's most congested
-/// lane-compatible point — K identical lanes through one [`BatchEngine`]
-/// against K back-to-back runs of a reused solo [`SimEngine`]. Lane results
-/// are byte-identical either way (gated by `tests/batch_equivalence.rs`);
-/// the ratio records the shared-event-wheel speedup that `bench-diff` gates.
-#[derive(Debug, Clone, Serialize)]
-pub struct BatchPerf {
-    /// The lane width the sweep batched at.
-    pub lane_capacity: usize,
-    /// Batches the sweep dispatched.
-    pub batches: u64,
-    /// Mean fraction of lanes occupied per batch.
-    pub occupancy: f64,
-    /// Points that occupied a batch lane.
-    pub points_batched: u64,
-    /// Points simulated solo (lane-incompatible).
-    pub points_solo: u64,
-    /// Points answered by the evaluation cache without occupying a lane.
-    pub points_from_cache: u64,
-    /// Row label of the microbenchmarked point.
-    pub label: String,
-    /// Strategy short name of the microbenchmarked point.
-    pub strategy: String,
-    /// Total factory capacity of the microbenchmarked point.
-    pub capacity: usize,
-    /// Lanes per batched run of the microbenchmark (= `lane_capacity`).
-    pub lanes: usize,
-    /// Calibrated repetitions per implementation (identical for both, so
-    /// the ratio is repeat-free).
-    pub repeats: u32,
-    /// Total batched wall time across the repeats, seconds.
-    pub batched_seconds: f64,
-    /// Total sequential wall time across the repeats, seconds.
-    pub sequential_seconds: f64,
-    /// `sequential_seconds / batched_seconds`.
-    pub speedup_vs_sequential: f64,
 }
 
 /// Timing of the sweep's heaviest force-directed mapping under both
@@ -167,7 +112,6 @@ pub fn stamp(
     wall: Duration,
     parallel: bool,
     cache: Option<CacheStats>,
-    batch: Option<BatchStats>,
 ) -> PerfStamp {
     let wall_seconds = wall.as_secs_f64();
     let cycles_simulated: u64 = results
@@ -188,89 +132,7 @@ pub fn stamp(
         dense: dense_contention(spec, results),
         mapping: mapping_phase(spec, results),
         cache,
-        batch: batch.and_then(|stats| lane_batching(spec, results, &stats)),
     }
-}
-
-/// Re-simulates the sweep's most congested lane-compatible point as K
-/// identical lanes through one [`BatchEngine`] and as K back-to-back solo
-/// runs of a reused [`SimEngine`], with the repeat count calibrated so the
-/// batched side stays above bench-diff's wall gating floor.
-fn lane_batching(
-    spec: &SweepSpec,
-    results: &SweepResults,
-    stats: &BatchStats,
-) -> Option<BatchPerf> {
-    let k = stats.lane_capacity;
-    if k < 2 {
-        return None;
-    }
-    // Most congested point whose layout is lane-compatible (no port
-    // rewiring), ordered exactly like the dense-contention selection.
-    let mut rows: Vec<(usize, &msfu_core::SweepRow)> = results.rows.iter().enumerate().collect();
-    rows.sort_by_key(|(i, r)| (std::cmp::Reverse(r.evaluation.routing_conflicts), *i));
-    let (row, factory, layout) = rows.iter().find_map(|&(i, row)| {
-        let point = spec.points.get(i)?;
-        let factory = Factory::build(&point.factory).ok()?;
-        let layout = point.strategy.map(&factory).ok()?;
-        (!layout.requires_port_rewiring()).then_some((row, factory, layout))
-    })?;
-    let circuit = factory.circuit();
-    let lanes: Vec<BatchLane<'_>> = (0..k).map(|_| BatchLane::new(&layout)).collect();
-    let mut batch_engine = BatchEngine::new(spec.eval.sim);
-    let mut engine = SimEngine::new(spec.eval.sim);
-
-    // Warm up untimed (the first run pays one-off arena growth), then
-    // calibrate against a warm run and choose the repeat count that lifts
-    // total batched wall time above the gating floor.
-    batch_engine
-        .run(circuit, &lanes)
-        .expect("the sweep already simulated this point");
-    let t = Instant::now();
-    batch_engine
-        .run(circuit, &lanes)
-        .expect("the sweep already simulated this point");
-    let once = t.elapsed().as_secs_f64().max(1e-9);
-    let repeats = ((BATCH_MIN_SECONDS / once).ceil() as u32).clamp(1, BATCH_MAX_REPEATS);
-
-    let t0 = Instant::now();
-    for _ in 0..repeats {
-        batch_engine
-            .run(circuit, &lanes)
-            .expect("the sweep already simulated this point");
-    }
-    let batched_seconds = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    for _ in 0..repeats {
-        for _ in 0..k {
-            engine
-                .run(circuit, &layout)
-                .expect("the sweep already simulated this point");
-        }
-    }
-    let sequential_seconds = t1.elapsed().as_secs_f64();
-
-    Some(BatchPerf {
-        lane_capacity: k,
-        batches: stats.batches,
-        occupancy: stats.occupancy(),
-        points_batched: stats.points_batched,
-        points_solo: stats.points_solo,
-        points_from_cache: stats.points_from_cache,
-        label: row.label.clone(),
-        strategy: row.evaluation.strategy.clone(),
-        capacity: row.evaluation.factory.capacity(),
-        lanes: k,
-        repeats,
-        batched_seconds,
-        sequential_seconds,
-        speedup_vs_sequential: if batched_seconds > 0.0 {
-            sequential_seconds / batched_seconds
-        } else {
-            0.0
-        },
-    })
 }
 
 /// Re-simulates the sweep's most braid-congested point `DENSE_REPEATS` times
@@ -392,7 +254,6 @@ mod tests {
             Duration::from_millis(500),
             true,
             Some(CacheStats::default()),
-            None,
         );
         assert_eq!(stamp.points, 2);
         assert!(stamp.cycles_simulated > 0);
@@ -427,14 +288,7 @@ mod tests {
             .point("a", FactoryConfig::single_level(2), fd.clone())
             .point("b", FactoryConfig::single_level(4), fd);
         let results = spec.run().unwrap();
-        let stamp = stamp(
-            &spec,
-            &results,
-            Duration::from_millis(500),
-            true,
-            None,
-            None,
-        );
+        let stamp = stamp(&spec, &results, Duration::from_millis(500), true, None);
         let mapping = stamp.mapping.expect("mapping phase measured");
         // The larger of the two FD points is selected.
         assert_eq!(mapping.capacity, 4);
@@ -450,43 +304,9 @@ mod tests {
     fn empty_sweep_has_no_dense_point() {
         let spec = SweepSpec::new("empty", harness_eval_config());
         let results = spec.run().unwrap();
-        let stamp = stamp(&spec, &results, Duration::from_millis(1), false, None, None);
+        let stamp = stamp(&spec, &results, Duration::from_millis(1), false, None);
         assert_eq!(stamp.points, 0);
         assert!(stamp.dense.is_none());
         assert!(stamp.mapping.is_none());
-        assert!(stamp.batch.is_none());
-    }
-
-    #[test]
-    fn batch_stamp_times_lanes_against_sequential_runs() {
-        use msfu_core::RunControl;
-        let spec = SweepSpec::new("t", harness_eval_config())
-            .point("a", FactoryConfig::single_level(2), Strategy::linear())
-            .point("b", FactoryConfig::single_level(4), Strategy::random(1))
-            .with_lanes(4);
-        let outcome = spec.run_with(&RunControl::default()).unwrap();
-        let stamp = stamp(
-            &spec,
-            &outcome.results,
-            Duration::from_millis(500),
-            true,
-            None,
-            Some(outcome.batch),
-        );
-        let batch = stamp.batch.expect("lane batching measured");
-        assert_eq!(batch.lane_capacity, 4);
-        assert_eq!(batch.lanes, 4);
-        assert!(batch.repeats >= 1);
-        assert!(batch.batched_seconds > 0.0);
-        assert!(batch.sequential_seconds > 0.0);
-        assert!(batch.speedup_vs_sequential > 0.0);
-        assert_eq!(batch.occupancy, outcome.batch.occupancy());
-        // Batching off (or unsampled): no stamp block.
-        let off = stamp_fn_off(&spec, &outcome.results);
-        assert!(off.is_none());
-    }
-
-    fn stamp_fn_off(spec: &SweepSpec, results: &SweepResults) -> Option<BatchPerf> {
-        lane_batching(spec, results, &BatchStats::default())
     }
 }

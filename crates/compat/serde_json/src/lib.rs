@@ -22,6 +22,11 @@ impl std::error::Error for Error {}
 /// Convenience result alias mirroring `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
+/// Deepest array/object nesting [`from_str`] accepts (the limit upstream
+/// `serde_json` applies too). The parser recurses once per level, so an
+/// unbounded depth would let one hostile line overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`] tree.
 ///
 /// Numbers parse as `UInt`/`Int` when integral and in range, `Float`
@@ -29,11 +34,13 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///
 /// # Errors
 ///
-/// Returns a descriptive [`Error`] on malformed input or trailing data.
+/// Returns a descriptive [`Error`] on malformed input, trailing data, or
+/// arrays/objects nested more than 128 deep.
 pub fn from_str(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -47,6 +54,8 @@ pub fn from_str(s: &str) -> Result<Value> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -88,8 +97,19 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -412,6 +432,23 @@ mod tests {
         assert_eq!(from_str("7.5").unwrap(), Value::Float(7.5));
         assert_eq!(from_str("1e3").unwrap(), Value::Float(1000.0));
         assert_eq!(from_str("  42  ").unwrap(), Value::UInt(42));
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(from_str(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(from_str(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        let err = from_str(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Far past the limit (a stack overflow without it), and unclosed.
+        assert!(from_str(&"[".repeat(200_000)).is_err());
+        assert!(from_str(&"{\"a\":".repeat(200_000)).is_err());
+        // Siblings do not add depth.
+        let wide = format!("[{}1]", "[],".repeat(1000));
+        assert!(from_str(&wide).is_ok());
     }
 
     #[test]

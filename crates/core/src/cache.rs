@@ -321,18 +321,6 @@ impl EvalCache {
         Ok(value)
     }
 
-    /// Whether `key` already holds a published value. Counts as neither hit
-    /// nor miss — the sweep planner uses it to keep cached points out of
-    /// batch lanes without disturbing the accounting that `get_or_compute`
-    /// performs later.
-    pub(crate) fn peek(&self, key: &str) -> bool {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots
-            .map
-            .get(key)
-            .is_some_and(|slot| slot.value.get().is_some())
-    }
-
     fn hit(&self, slot: &Slot, found: &Evaluation, strategy_name: &str) -> Evaluation {
         self.hits.fetch_add(1, Ordering::Relaxed);
         PROCESS_HITS.fetch_add(1, Ordering::Relaxed);
@@ -483,6 +471,15 @@ mod tests {
         assert_eq!(cache.stats().misses, 2);
     }
 
+    /// Whether `key` holds a published value (neither a hit nor a miss).
+    fn holds(cache: &EvalCache, key: &str) -> bool {
+        let slots = cache.slots.lock().unwrap();
+        slots
+            .map
+            .get(key)
+            .is_some_and(|slot| slot.value.get().is_some())
+    }
+
     fn canned(tag: u64) -> Evaluation {
         let (config, layout, eval) = sample_inputs();
         let factory = Factory::build(&config).unwrap();
@@ -500,15 +497,15 @@ mod tests {
                 .unwrap();
         }
         // "a" (oldest) was evicted by "c"; "b" and "c" survive.
-        assert!(!cache.peek("a"));
-        assert!(cache.peek("b"));
-        assert!(cache.peek("c"));
+        assert!(!holds(&cache, "a"));
+        assert!(holds(&cache, "b"));
+        assert!(holds(&cache, "c"));
         // A re-request of "a" recomputes (a miss) and evicts "b" in turn.
         cache
             .get_or_compute("a".to_string(), "Line", || Ok(canned(4)))
             .unwrap();
-        assert!(!cache.peek("b"));
-        assert!(cache.peek("a") && cache.peek("c"));
+        assert!(!holds(&cache, "b"));
+        assert!(holds(&cache, "a") && holds(&cache, "c"));
         assert_eq!(cache.stats().misses, 4);
         assert_eq!(cache.stats().hits, 0);
     }
@@ -522,7 +519,7 @@ mod tests {
                 .unwrap();
             assert_eq!(value.latency_cycles, 9);
         }
-        assert!(!cache.peek("k"));
+        assert!(!holds(&cache, "k"));
         assert_eq!(cache.stats().misses, 2);
     }
 
@@ -534,7 +531,7 @@ mod tests {
                 .get_or_compute(format!("k{i}"), "Line", || Ok(canned(i)))
                 .unwrap();
         }
-        assert!((0..100).all(|i| cache.peek(&format!("k{i}"))));
+        assert!((0..100).all(|i| holds(&cache, &format!("k{i}"))));
     }
 
     #[test]

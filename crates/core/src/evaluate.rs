@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use msfu_distill::{Factory, FactoryConfig};
 use msfu_layout::Layout;
-use msfu_sim::{BatchEngine, SimConfig, SimEngine};
+use msfu_sim::{SimConfig, SimEngine};
 
 use crate::{Result, Strategy};
 
@@ -196,11 +196,6 @@ thread_local! {
     /// explicit [`SimEngine`] still amortise arenas across calls (and across
     /// the sweep engine's worker threads).
     static THREAD_ENGINE: RefCell<SimEngine> = RefCell::new(SimEngine::default());
-
-    /// One lane-batched engine per thread, for the sweep engine's batched
-    /// groups (a separate cell from [`THREAD_ENGINE`]: a batched group and a
-    /// solo evaluation may be live on the same thread).
-    static THREAD_BATCH_ENGINE: RefCell<BatchEngine> = RefCell::new(BatchEngine::default());
 }
 
 /// Runs `f` against this thread's reusable [`SimEngine`], configured with
@@ -208,19 +203,6 @@ thread_local! {
 /// explicit engine handle.
 pub(crate) fn with_thread_engine<T>(sim: SimConfig, f: impl FnOnce(&mut SimEngine) -> T) -> T {
     THREAD_ENGINE.with(|cell| {
-        let mut engine = cell.borrow_mut();
-        engine.set_config(sim);
-        f(&mut engine)
-    })
-}
-
-/// Runs `f` against this thread's reusable [`BatchEngine`], configured with
-/// `sim`. Used by the sweep engine to simulate one lane-compatible group.
-pub(crate) fn with_thread_batch_engine<T>(
-    sim: SimConfig,
-    f: impl FnOnce(&mut BatchEngine) -> T,
-) -> T {
-    THREAD_BATCH_ENGINE.with(|cell| {
         let mut engine = cell.borrow_mut();
         engine.set_config(sim);
         f(&mut engine)

@@ -94,10 +94,7 @@ pub use stream::{
     register_stream_scheduler, registered_stream_schedulers, ArrivalProcess, JobClass,
     SchedulerRegistry, SchedulerRun, StreamOutcome, StreamReport, StreamScheduler, StreamSpec,
 };
-pub use sweep::{
-    process_batch_stats, BatchStats, SweepIndex, SweepOutcome, SweepPoint, SweepResults, SweepRow,
-    SweepSpec, DEFAULT_LANES,
-};
+pub use sweep::{SweepIndex, SweepOutcome, SweepPoint, SweepResults, SweepRow, SweepSpec};
 
 /// Convenience result alias used by fallible APIs in this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

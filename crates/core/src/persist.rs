@@ -25,10 +25,13 @@
 //! Damage also self-heals. A segment that produced any warning is
 //! **quarantined** on open — renamed `seg-XX.bin.quarantined` — so the next
 //! open starts from a clean directory while the damaged bytes stay on disk
-//! for repair. [`verify_dir`] reports a directory's health without touching
-//! it, and [`compact_dir`] rewrites every live record (salvaging the
-//! decodable ones from quarantined segments, dropping dead bytes and
-//! duplicate keys) so the directory re-opens warning-free.
+//! for repair. The one exception is a truncated tail on a segment that
+//! grows while it is read: that is another process's append in flight, so
+//! the newer bytes load and the segment stays live. [`verify_dir`] reports
+//! a directory's health without touching it, and [`compact_dir`] rewrites
+//! every live record (salvaging the decodable ones from quarantined
+//! segments, dropping dead bytes and duplicate keys) so the directory
+//! re-opens warning-free.
 
 use std::collections::HashSet;
 use std::fs::OpenOptions;
@@ -158,6 +161,7 @@ pub(crate) struct DiskTier {
 }
 
 /// What [`DiskTier::open`] found on disk.
+#[derive(Default)]
 pub(crate) struct DiskContents {
     /// Every decodable `(key, evaluation)` record. Duplicate keys may occur
     /// (two processes racing the same miss both persist it); the records are
@@ -184,11 +188,7 @@ impl DiskTier {
     pub(crate) fn open(dir: &Path) -> Result<(DiskTier, DiskContents), String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create cache directory {}: {e}", dir.display()))?;
-        let mut contents = DiskContents {
-            entries: Vec::new(),
-            warnings: Vec::new(),
-            quarantined: Vec::new(),
-        };
+        let mut contents = DiskContents::default();
         for bucket in 0..NUM_BUCKETS {
             let path = dir.join(bucket_name(bucket));
             let bytes = match std::fs::read(&path) {
@@ -202,9 +202,11 @@ impl DiskTier {
                     continue;
                 }
             };
-            let damage_before = contents.warnings.len();
-            scan_segment(&path, &bytes, &mut contents);
-            if contents.warnings.len() > damage_before {
+            let segment = scan_live_segment(&path, bytes, || std::fs::read(&path));
+            let damaged = !segment.warnings.is_empty();
+            contents.entries.extend(segment.entries);
+            contents.warnings.extend(segment.warnings);
+            if damaged {
                 // Quarantine the damaged segment: future appends recreate a
                 // clean file, and `compact_dir` salvages what is decodable.
                 let to = quarantine_path(&path);
@@ -292,11 +294,7 @@ pub fn verify_dir(dir: &Path) -> Result<VerifyReport, String> {
         let path = dir.join(bucket_name(bucket));
         match std::fs::read(&path) {
             Ok(bytes) => {
-                let mut contents = DiskContents {
-                    entries: Vec::new(),
-                    warnings: Vec::new(),
-                    quarantined: Vec::new(),
-                };
+                let mut contents = DiskContents::default();
                 scan_segment(&path, &bytes, &mut contents);
                 report.segments += 1;
                 report.records += contents.entries.len();
@@ -370,11 +368,7 @@ pub fn compact_dir(dir: &Path) -> Result<CompactReport, String> {
                 Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
             };
             report.bytes_before += bytes.len() as u64;
-            let mut contents = DiskContents {
-                entries: Vec::new(),
-                warnings: Vec::new(),
-                quarantined: Vec::new(),
-            };
+            let mut contents = DiskContents::default();
             scan_segment(&path, &bytes, &mut contents);
             report.damage_dropped += contents.warnings.len();
             for (key, evaluation) in contents.entries {
@@ -516,6 +510,41 @@ pub fn damage_segment(
     Ok(path)
 }
 
+/// Scans a live segment read as `bytes`. A truncated tail as its only
+/// damage may be another process's `O_APPEND` write caught mid-flight
+/// rather than a crash, so the segment is read once more (`reread`): if it
+/// grew, the newer bytes are scanned instead and a tail that is still
+/// partial is skipped without a warning. A truncated tail at an unchanged
+/// length stays a warning, and the caller quarantines the segment.
+fn scan_live_segment(
+    path: &Path,
+    bytes: Vec<u8>,
+    reread: impl FnOnce() -> std::io::Result<Vec<u8>>,
+) -> DiskContents {
+    let mut scanned = DiskContents::default();
+    scan_segment(path, &bytes, &mut scanned);
+    if !matches!(
+        scanned.warnings.as_slice(),
+        [PersistWarning::TruncatedTail { .. }]
+    ) {
+        return scanned;
+    }
+    match reread() {
+        Ok(grown) if grown.len() > bytes.len() => {
+            let mut rescanned = DiskContents::default();
+            scan_segment(path, &grown, &mut rescanned);
+            if matches!(
+                rescanned.warnings.as_slice(),
+                [PersistWarning::TruncatedTail { .. }]
+            ) {
+                rescanned.warnings.clear();
+            }
+            rescanned
+        }
+        _ => scanned,
+    }
+}
+
 /// Scans one segment's bytes, pushing decodable records and damage warnings
 /// into `contents`. The length framing is version-independent, so a bad
 /// version or corrupt payload skips one record and the scan continues; only
@@ -650,6 +679,48 @@ mod tests {
             [PersistWarning::TruncatedTail { .. }]
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_segment_growing_under_a_torn_read_is_loaded_without_a_warning() {
+        // Two whole records, as a concurrent appender leaves them; the first
+        // read catches the second record half written.
+        let evaluation = sample_evaluation();
+        let dir = temp_dir("torn");
+        let (tier, _) = DiskTier::open(&dir).unwrap();
+        tier.append("first", &evaluation).unwrap();
+        let path = segment_path(&dir, "first");
+        let one = std::fs::read(&path).unwrap();
+        tier.append("first", &evaluation).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let torn = full[..one.len() + (full.len() - one.len()) / 2].to_vec();
+        let loaded = |c: &DiskContents| c.entries.len();
+
+        // Grown and complete on the second read: both records load.
+        let done = scan_live_segment(&path, torn.clone(), || Ok(full.clone()));
+        assert_eq!(loaded(&done), 2);
+        assert!(done.warnings.is_empty());
+        // Grown but still mid-append: the partial tail is skipped silently.
+        let longer = full[..full.len() - 1].to_vec();
+        let inflight = scan_live_segment(&path, torn.clone(), || Ok(longer));
+        assert_eq!(loaded(&inflight), 1);
+        assert!(inflight.warnings.is_empty());
+        // Unchanged length: a real truncated tail, still reported.
+        let stuck = scan_live_segment(&path, torn.clone(), || Ok(torn.clone()));
+        assert_eq!(loaded(&stuck), 1);
+        assert!(matches!(
+            stuck.warnings.as_slice(),
+            [PersistWarning::TruncatedTail { .. }]
+        ));
+        // A failed re-read keeps the first scan's verdict.
+        let gone = scan_live_segment(&path, torn.clone(), || {
+            Err(std::io::ErrorKind::NotFound.into())
+        });
+        assert_eq!(gone.warnings.len(), 1);
+        // A clean segment is never re-read.
+        let clean = scan_live_segment(&path, full.clone(), || unreachable!("clean"));
+        assert_eq!(loaded(&clean), 2);
     }
 
     #[test]

@@ -47,9 +47,9 @@
 //!   overridden — note the `linear` built-in takes no seed and must live in a
 //!   seedless grid. A duplicated seed is a spec error (it would silently
 //!   duplicate every row of the grid).
-//! * `lanes` (optional, default 8) — lane-batching width of the sweep's
-//!   simulation phase; `0` disables batching. Results are byte-identical at
-//!   any width.
+//! * `lanes` — deprecated and ignored: the lane-batching width of a removed
+//!   simulation mode. A root `lanes` key still decodes, with one warning on
+//!   stderr, so specs written for earlier releases keep working.
 //!
 //! Points are appended in document order: the `points` array first, then
 //! every grid (factories × strategies × seeds). A spec decoded from JSON is
@@ -331,8 +331,8 @@ impl SweepSpec {
         if let Some(cache) = get_bool(root, "cache", ctx)? {
             spec = spec.with_eval_cache(cache);
         }
-        if let Some(lanes) = get_u64(root, "lanes", ctx)? {
-            spec = spec.with_lanes(lanes as usize);
+        if root.get("lanes").is_some() {
+            eprintln!("[msfu spec] warning: `lanes` is deprecated and ignored (lane batching was removed)");
         }
         if let Some(dir) = get_str(root, "cache_dir", ctx)? {
             spec = spec.with_cache_dir(dir);
@@ -566,14 +566,10 @@ mod tests {
     }
 
     #[test]
-    fn lanes_knob_decodes_and_defaults() {
-        let spec = SweepSpec::from_json(r#"{"name": "x", "lanes": 4}"#).unwrap();
-        assert_eq!(spec.lanes, 4);
-        let off = SweepSpec::from_json(r#"{"name": "x", "lanes": 0}"#).unwrap();
-        assert_eq!(off.lanes, 0);
-        let default = SweepSpec::from_json(r#"{"name": "x"}"#).unwrap();
-        assert_eq!(default.lanes, crate::DEFAULT_LANES);
-        assert!(SweepSpec::from_json(r#"{"name": "x", "lanes": "many"}"#).is_err());
+    fn deprecated_lanes_key_is_accepted_and_ignored() {
+        let plain = SweepSpec::from_json(r#"{"name": "x"}"#).unwrap();
+        let carrying = SweepSpec::from_json(r#"{"name": "x", "lanes": 8}"#).unwrap();
+        assert_eq!(carrying, plain);
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //! assert!(results.rows[0].evaluation.volume < results.rows[1].evaluation.volume);
 //! ```
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use rayon::prelude::*;
@@ -41,27 +40,19 @@ use serde::{Deserialize, Serialize};
 
 use msfu_distill::{Factory, FactoryConfig};
 use msfu_graph::{metrics::MappingMetrics, InteractionGraph};
-use msfu_layout::Layout;
-use msfu_sim::{BatchLane, SimEngine, MAX_LANES};
+use msfu_sim::SimEngine;
 
 use crate::cache::{evaluation_key, open_eval_cache, CacheStats, EvalCache};
-use crate::evaluate::{
-    effective_factory, evaluate_mapped_with, with_thread_batch_engine, with_thread_engine,
-};
+use crate::evaluate::{effective_factory, evaluate_mapped_with, with_thread_engine};
 use crate::pipeline::{per_round_breakdown_with, RoundBreakdown};
 use crate::progress::{ProgressEvent, RunControl};
-use crate::{CoreError, Evaluation, EvaluationConfig, Result, Strategy};
+use crate::{Evaluation, EvaluationConfig, Result, Strategy};
 
 /// Points evaluated per parallel batch. Cancellation and deadlines are
 /// honoured between batches, so this bounds how much work a cancelled sweep
 /// still finishes; it is a fixed constant (not thread-count derived) so the
 /// progress-event stream of a given spec is identical on every machine.
 const SWEEP_BATCH: usize = 32;
-
-/// Default lane-batching width of a [`SweepSpec`]: compatible points are
-/// simulated up to this many at a time through one
-/// [`BatchEngine`](msfu_sim::BatchEngine).
-pub const DEFAULT_LANES: usize = 8;
 
 /// One point of a sweep grid: map `factory` with `strategy` and simulate.
 ///
@@ -105,12 +96,6 @@ pub struct SweepSpec {
     /// Enabled by default; results are byte-identical either way (the cache
     /// key is the full content, never a lossy hash).
     pub use_eval_cache: bool,
-    /// Lane-batching width: lane-compatible points (same built factory, same
-    /// grid dimensions) are simulated up to `lanes` at a time through one
-    /// shared event wheel ([`BatchEngine`](msfu_sim::BatchEngine)). Rows are
-    /// byte-identical at any width; `0` or `1` disables batching. Defaults to
-    /// [`DEFAULT_LANES`]; values above [`MAX_LANES`] are clamped.
-    pub lanes: usize,
     /// Root directory of the persistent cache tier: previously simulated
     /// evaluations load from hash-bucketed segment files under it on open,
     /// and new simulations append to them, so repeated runs — and cluster
@@ -159,89 +144,6 @@ pub struct SweepOutcome {
     /// — making the counters identical for parallel and serial runs of a
     /// completed sweep.
     pub cache: CacheStats,
-    /// Lane-batching occupancy counters of this run (all zero when batching
-    /// is disabled). Planning is chunk-sequential and content-addressed, so
-    /// the counters are identical for parallel and serial runs of a
-    /// completed sweep.
-    pub batch: BatchStats,
-}
-
-/// Lane-occupancy counters of one sweep run (or of the whole process, see
-/// [`process_batch_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub struct BatchStats {
-    /// The lane width the run batched at (0 when batching was disabled).
-    pub lane_capacity: usize,
-    /// Batches dispatched to the batch engine (singleton groups included).
-    pub batches: u64,
-    /// Total lanes occupied across all batches.
-    pub lanes_filled: u64,
-    /// Points that occupied a batch lane.
-    pub points_batched: u64,
-    /// Points simulated solo (port-rewired circuits and other
-    /// lane-incompatible points).
-    pub points_solo: u64,
-    /// Points that never occupied a lane because the evaluation cache
-    /// already held (or was about to hold) their content address.
-    pub points_from_cache: u64,
-}
-
-impl BatchStats {
-    /// Mean fraction of lanes occupied per batch:
-    /// `lanes_filled / (batches × lane_capacity)`, or 0 for an unbatched run.
-    pub fn occupancy(&self) -> f64 {
-        if self.batches == 0 || self.lane_capacity == 0 {
-            return 0.0;
-        }
-        self.lanes_filled as f64 / (self.batches * self.lane_capacity as u64) as f64
-    }
-
-    /// Counter increments since `earlier` (for sampling the process-wide
-    /// totals around one run). `lane_capacity` is carried from `self`.
-    pub fn since(&self, earlier: &BatchStats) -> BatchStats {
-        BatchStats {
-            lane_capacity: self.lane_capacity,
-            batches: self.batches.saturating_sub(earlier.batches),
-            lanes_filled: self.lanes_filled.saturating_sub(earlier.lanes_filled),
-            points_batched: self.points_batched.saturating_sub(earlier.points_batched),
-            points_solo: self.points_solo.saturating_sub(earlier.points_solo),
-            points_from_cache: self
-                .points_from_cache
-                .saturating_sub(earlier.points_from_cache),
-        }
-    }
-}
-
-static PROCESS_LANE_CAPACITY: AtomicU64 = AtomicU64::new(0);
-static PROCESS_BATCHES: AtomicU64 = AtomicU64::new(0);
-static PROCESS_LANES_FILLED: AtomicU64 = AtomicU64::new(0);
-static PROCESS_POINTS_BATCHED: AtomicU64 = AtomicU64::new(0);
-static PROCESS_POINTS_SOLO: AtomicU64 = AtomicU64::new(0);
-static PROCESS_POINTS_FROM_CACHE: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative lane-batching counters across every sweep of the process
-/// (`lane_capacity` is the largest width any run batched at). Sample before
-/// and after a run and diff with [`BatchStats::since`] to attribute counts
-/// to that run.
-pub fn process_batch_stats() -> BatchStats {
-    BatchStats {
-        lane_capacity: PROCESS_LANE_CAPACITY.load(Ordering::Relaxed) as usize,
-        batches: PROCESS_BATCHES.load(Ordering::Relaxed),
-        lanes_filled: PROCESS_LANES_FILLED.load(Ordering::Relaxed),
-        points_batched: PROCESS_POINTS_BATCHED.load(Ordering::Relaxed),
-        points_solo: PROCESS_POINTS_SOLO.load(Ordering::Relaxed),
-        points_from_cache: PROCESS_POINTS_FROM_CACHE.load(Ordering::Relaxed),
-    }
-}
-
-/// Folds one chunk's counter increments into the process-wide totals.
-fn record_process_batch(delta: &BatchStats) {
-    PROCESS_LANE_CAPACITY.fetch_max(delta.lane_capacity as u64, Ordering::Relaxed);
-    PROCESS_BATCHES.fetch_add(delta.batches, Ordering::Relaxed);
-    PROCESS_LANES_FILLED.fetch_add(delta.lanes_filled, Ordering::Relaxed);
-    PROCESS_POINTS_BATCHED.fetch_add(delta.points_batched, Ordering::Relaxed);
-    PROCESS_POINTS_SOLO.fetch_add(delta.points_solo, Ordering::Relaxed);
-    PROCESS_POINTS_FROM_CACHE.fetch_add(delta.points_from_cache, Ordering::Relaxed);
 }
 
 impl SweepResults {
@@ -350,7 +252,6 @@ impl SweepSpec {
             collect_breakdowns: false,
             collect_mapping_metrics: false,
             use_eval_cache: true,
-            lanes: DEFAULT_LANES,
             cache_dir: None,
         }
     }
@@ -360,13 +261,6 @@ impl SweepSpec {
     /// to re-simulate (the reference mode of the cache-correctness tests).
     pub fn with_eval_cache(mut self, enabled: bool) -> Self {
         self.use_eval_cache = enabled;
-        self
-    }
-
-    /// Sets the lane-batching width (builder style). `0` or `1` disables
-    /// batching; rows are byte-identical at any width.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
         self
     }
 
@@ -380,7 +274,7 @@ impl SweepSpec {
 
     /// The sub-sweep covering `points[range]` — the shard a cluster
     /// coordinator dispatches to one worker. Every other knob (eval config,
-    /// cache, lanes, collection flags, name) is carried unchanged, so
+    /// cache, collection flags, name) is carried unchanged, so
     /// concatenating the rows of the slices `0..a`, `a..b`, …, `z..len` in
     /// order reproduces the full sweep's rows byte-for-byte: each row is a
     /// pure function of its point and the shared configuration.
@@ -475,7 +369,6 @@ impl SweepSpec {
         let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
         let mut interrupted = ctrl.interrupted();
         let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
-        let mut batch_stats = self.fresh_batch_stats();
 
         if !interrupted {
             // Build each distinct factory once, in parallel.
@@ -499,40 +392,21 @@ impl SweepSpec {
                     interrupted = true;
                     break;
                 }
-                let batch: Vec<crate::Result<SweepRow>> = if self.lanes > 1 {
-                    let entries: Vec<Result<Arc<FactoryEntry>>> = chunk
-                        .iter()
-                        .map(|point| {
-                            Ok(cache
-                                .get(&point.factory)
-                                .expect("every point's config was pre-built")
-                                .clone())
+                let batch: Vec<crate::Result<SweepRow>> = chunk
+                    .par_iter()
+                    .map(|point| {
+                        let entry = cache
+                            .get(&point.factory)
+                            .expect("every point's config was pre-built")
+                            .clone();
+                        // Each worker thread reuses one simulator engine
+                        // across every point it evaluates (arena reuse;
+                        // results are unaffected).
+                        with_thread_engine(self.eval.sim, |engine| {
+                            self.evaluate_point(point, &entry, engine, eval_cache.as_ref())
                         })
-                        .collect();
-                    self.evaluate_chunk_batched(
-                        chunk,
-                        &entries,
-                        eval_cache.as_ref(),
-                        &mut batch_stats,
-                        true,
-                    )
-                } else {
-                    chunk
-                        .par_iter()
-                        .map(|point| {
-                            let entry = cache
-                                .get(&point.factory)
-                                .expect("every point's config was pre-built")
-                                .clone();
-                            // Each worker thread reuses one simulator engine
-                            // across every point it evaluates (arena reuse;
-                            // results are unaffected).
-                            with_thread_engine(self.eval.sim, |engine| {
-                                self.evaluate_point(point, &entry, engine, eval_cache.as_ref())
-                            })
-                        })
-                        .collect()
-                };
+                    })
+                    .collect();
                 for row in batch {
                     let index = rows.len();
                     rows.push(row?);
@@ -558,7 +432,6 @@ impl SweepSpec {
             },
             interrupted,
             cache: eval_cache.map(|c| c.stats()).unwrap_or_default(),
-            batch: batch_stats,
         })
     }
 
@@ -586,9 +459,6 @@ impl SweepSpec {
     /// Returns the first factory-construction, placement or simulation error
     /// among the points that ran.
     pub fn run_serial_with(&self, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
-        if self.lanes > 1 {
-            return self.run_serial_batched_with(ctrl);
-        }
         let total = self.points.len();
         let mut cache: FactoryCache = HashMap::new();
         let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
@@ -622,81 +492,8 @@ impl SweepSpec {
                 },
                 interrupted,
                 cache: eval_cache.map(|c| c.stats()).unwrap_or_default(),
-                batch: BatchStats::default(),
             })
         })
-    }
-
-    /// [`SweepSpec::run_serial_with`] when lane batching is on: chunks are
-    /// planned exactly like the parallel run (same groups, same counters) but
-    /// every group and solo point simulates on the calling thread.
-    /// Cancellation is honoured between chunks and between row emissions, so
-    /// a cancelled run still streams the same row prefix the unbatched serial
-    /// path would.
-    fn run_serial_batched_with(&self, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
-        let total = self.points.len();
-        let mut cache: FactoryCache = HashMap::new();
-        let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
-        let mut batch_stats = self.fresh_batch_stats();
-        let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
-        let mut interrupted = false;
-        'chunks: for chunk in self.points.chunks(SWEEP_BATCH) {
-            if ctrl.interrupted() {
-                interrupted = true;
-                break;
-            }
-            let entries: Vec<Result<Arc<FactoryEntry>>> = chunk
-                .iter()
-                .map(|point| self.entry_for(&mut cache, point.factory))
-                .collect();
-            let batch = self.evaluate_chunk_batched(
-                chunk,
-                &entries,
-                eval_cache.as_ref(),
-                &mut batch_stats,
-                false,
-            );
-            for row in batch {
-                if ctrl.interrupted() {
-                    interrupted = true;
-                    break 'chunks;
-                }
-                let index = rows.len();
-                rows.push(row?);
-                ctrl.emit(&ProgressEvent::RowCompleted {
-                    name: &self.name,
-                    index,
-                    total,
-                    row: &rows[index],
-                });
-            }
-        }
-        ctrl.emit(&ProgressEvent::BatchFinished {
-            name: &self.name,
-            completed: rows.len(),
-            total,
-        });
-        Ok(SweepOutcome {
-            results: SweepResults {
-                name: self.name.clone(),
-                rows,
-            },
-            interrupted,
-            cache: eval_cache.map(|c| c.stats()).unwrap_or_default(),
-            batch: batch_stats,
-        })
-    }
-
-    /// Zeroed run-level counters carrying this spec's effective lane width.
-    fn fresh_batch_stats(&self) -> BatchStats {
-        BatchStats {
-            lane_capacity: if self.lanes > 1 {
-                self.lanes.min(MAX_LANES)
-            } else {
-                0
-            },
-            ..BatchStats::default()
-        }
     }
 
     fn entry_for(
@@ -777,297 +574,6 @@ impl SweepSpec {
             metrics,
         })
     }
-
-    /// Maps one point: layout, rewired factory copy (for port-rewiring
-    /// strategies) and content address (when the evaluation cache is on).
-    fn map_point(&self, point: &SweepPoint, entry: &FactoryEntry) -> Result<MappedPoint> {
-        let layout = point.strategy.map(&entry.factory)?;
-        let rewired = if layout.requires_port_rewiring() {
-            Some(entry.factory.apply_port_assignment(&layout.ports)?)
-        } else {
-            None
-        };
-        let key = self
-            .use_eval_cache
-            .then(|| evaluation_key(entry.factory.config(), &layout, &self.eval));
-        Ok(MappedPoint {
-            layout,
-            rewired,
-            key,
-        })
-    }
-
-    /// Evaluates one chunk with lane batching: maps every point, plans
-    /// lane-compatible groups, simulates each group through one
-    /// [`BatchEngine`](msfu_sim::BatchEngine), then finalizes rows in point
-    /// order through the same cache accounting as the unbatched path — so
-    /// rows, errors and cache counters are byte-identical to it.
-    fn evaluate_chunk_batched(
-        &self,
-        chunk: &[SweepPoint],
-        entries: &[Result<Arc<FactoryEntry>>],
-        eval_cache: Option<&EvalCache>,
-        stats: &mut BatchStats,
-        parallel: bool,
-    ) -> Vec<Result<SweepRow>> {
-        let len = chunk.len();
-        let indices: Vec<usize> = (0..len).collect();
-
-        // Phase A: map every point. The mapping phase always runs (it
-        // produces the content address), exactly as in the unbatched path.
-        let map_one = |i: usize| -> Result<MappedPoint> {
-            let entry = entries[i].as_ref().map_err(Clone::clone)?;
-            self.map_point(&chunk[i], entry)
-        };
-        let mapped: Vec<Result<MappedPoint>> = if parallel {
-            indices.par_iter().map(|&i| map_one(i)).collect()
-        } else {
-            indices.iter().map(|&i| map_one(i)).collect()
-        };
-
-        // Phase B: plan lanes, sequentially in point order so the grouping
-        // (and the counters) are identical for serial and parallel runs. The
-        // first occurrence of each cacheable key gets a lane; chunk-internal
-        // duplicates follow that lane; keys the cache already holds never
-        // occupy a lane; port-rewired points simulate a private circuit and
-        // go solo.
-        let before = *stats;
-        let lane_cap = self.lanes.min(MAX_LANES);
-        let mut roles: Vec<Option<PointRole>> = vec![None; len];
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut open: HashMap<(usize, usize, usize), usize> = HashMap::new();
-        let mut seen: HashSet<&str> = HashSet::new();
-        for i in 0..len {
-            let Ok(entry) = entries[i].as_ref() else {
-                continue;
-            };
-            let Ok(m) = mapped[i].as_ref() else {
-                continue;
-            };
-            if let (Some(cache), Some(key)) = (eval_cache, m.key.as_deref()) {
-                if seen.contains(key) {
-                    roles[i] = Some(PointRole::Follower);
-                    stats.points_from_cache += 1;
-                    continue;
-                }
-                if cache.peek(key) {
-                    roles[i] = Some(PointRole::Cached);
-                    stats.points_from_cache += 1;
-                    continue;
-                }
-            }
-            let gates = entry.factory.circuit().num_gates() as u64;
-            if m.rewired.is_some() || (lane_cap as u64).saturating_mul(gates) > u64::from(u32::MAX)
-            {
-                roles[i] = Some(PointRole::Solo);
-                stats.points_solo += 1;
-                continue;
-            }
-            let group_key = (
-                Arc::as_ptr(entry) as usize,
-                m.layout.mapping.width(),
-                m.layout.mapping.height(),
-            );
-            let slot = match open.get(&group_key) {
-                Some(&gi) if groups[gi].len() < lane_cap => gi,
-                _ => {
-                    groups.push(Vec::new());
-                    let gi = groups.len() - 1;
-                    open.insert(group_key, gi);
-                    gi
-                }
-            };
-            groups[slot].push(i);
-            roles[i] = Some(PointRole::Lane);
-            stats.points_batched += 1;
-            if let Some(key) = m.key.as_deref() {
-                seen.insert(key);
-            }
-        }
-        stats.batches += groups.len() as u64;
-        for members in &groups {
-            stats.lanes_filled += members.len() as u64;
-        }
-        record_process_batch(&stats.since(&before));
-
-        // Phase C: simulate each group through one shared event wheel. The
-        // Evaluation assembly mirrors `evaluate_mapped_with` field for field;
-        // the batch engine guarantees each lane's SimResult is byte-identical
-        // to a solo run.
-        let simulate_group = |members: &Vec<usize>| -> Vec<(usize, Result<Evaluation>)> {
-            let first = members[0];
-            let entry = entries[first]
-                .as_ref()
-                .expect("grouped points have a factory");
-            let factory = &entry.factory;
-            let circuit = factory.circuit();
-            let critical_path_cycles = circuit.critical_path_cycles(&self.eval.sim.latency);
-            let logical_qubits = factory.num_qubits();
-            let lanes: Vec<BatchLane<'_>> = members
-                .iter()
-                .map(|&i| {
-                    BatchLane::new(&mapped[i].as_ref().expect("grouped points mapped").layout)
-                })
-                .collect();
-            let outcome = with_thread_batch_engine(self.eval.sim, |batch_engine| {
-                batch_engine.run(circuit, &lanes)
-            });
-            match outcome {
-                Err(e) => members
-                    .iter()
-                    .map(|&i| (i, Err(CoreError::from(e.clone()))))
-                    .collect(),
-                Ok(results) => members
-                    .iter()
-                    .zip(results)
-                    .map(|(&i, lane)| {
-                        let evaluation = lane
-                            .map(|sim| Evaluation {
-                                strategy: chunk[i].strategy.short_name().to_string(),
-                                factory: *factory.config(),
-                                latency_cycles: sim.cycles,
-                                area: sim.area,
-                                volume: sim.volume(),
-                                stall_cycles: sim.stall_cycles,
-                                routing_conflicts: sim.routing_conflicts,
-                                critical_path_cycles,
-                                critical_volume: critical_path_cycles * logical_qubits as u64,
-                                logical_qubits,
-                            })
-                            .map_err(CoreError::from);
-                        (i, evaluation)
-                    })
-                    .collect(),
-            }
-        };
-        let group_results: Vec<Vec<(usize, Result<Evaluation>)>> = if parallel {
-            groups.par_iter().map(simulate_group).collect()
-        } else {
-            groups.iter().map(simulate_group).collect()
-        };
-        let mut lane_eval: Vec<Option<Result<Evaluation>>> = vec![None; len];
-        for (i, evaluation) in group_results.into_iter().flatten() {
-            lane_eval[i] = Some(evaluation);
-        }
-
-        // Follower points clone their lane's result through the cache.
-        let mut by_key: HashMap<&str, usize> = HashMap::new();
-        for i in 0..len {
-            if matches!(roles[i], Some(PointRole::Lane)) {
-                if let Ok(m) = &mapped[i] {
-                    if let Some(key) = m.key.as_deref() {
-                        by_key.entry(key).or_insert(i);
-                    }
-                }
-            }
-        }
-
-        // Phase D: finalize rows in point order through the exact cache
-        // accounting of the unbatched path — every cacheable point goes
-        // through `get_or_compute`, with the already-simulated value as its
-        // compute closure, so hit/miss counters and cached values match the
-        // unbatched run.
-        let finalize = |i: usize, engine: &mut SimEngine| -> Result<SweepRow> {
-            let point = &chunk[i];
-            let entry = entries[i].as_ref().map_err(Clone::clone)?;
-            let m = mapped[i].as_ref().map_err(Clone::clone)?;
-            let role = roles[i].expect("mapped points were planned");
-            let factory = &entry.factory;
-            let effective: &Factory = m.rewired.as_ref().unwrap_or(factory);
-            let name = point.strategy.short_name();
-            let lane_result = |i: usize| lane_eval[i].clone().expect("lane points were simulated");
-            let evaluation = match (eval_cache, m.key.clone()) {
-                (Some(cache), Some(key)) => cache.get_or_compute(key, name, || match role {
-                    PointRole::Lane => lane_result(i),
-                    PointRole::Follower => match by_key.get(m.key.as_deref().unwrap_or_default()) {
-                        Some(&lane) => lane_result(lane).map(|mut evaluation| {
-                            evaluation.strategy = name.to_string();
-                            evaluation
-                        }),
-                        // Unreachable (a follower always has a lane in its
-                        // chunk); recompute solo for safety.
-                        None => {
-                            evaluate_mapped_with(engine, effective, &m.layout, name, &self.eval)
-                        }
-                    },
-                    PointRole::Cached | PointRole::Solo => {
-                        evaluate_mapped_with(engine, effective, &m.layout, name, &self.eval)
-                    }
-                })?,
-                _ => match role {
-                    PointRole::Lane => lane_result(i)?,
-                    _ => evaluate_mapped_with(engine, effective, &m.layout, name, &self.eval)?,
-                },
-            };
-            let breakdown = if self.collect_breakdowns {
-                Some(per_round_breakdown_with(
-                    engine,
-                    effective,
-                    &m.layout,
-                    &self.eval.sim,
-                )?)
-            } else {
-                None
-            };
-            let metrics = if self.collect_mapping_metrics {
-                let computed;
-                let graph = if m.layout.requires_port_rewiring() {
-                    computed = InteractionGraph::from_circuit(effective.circuit());
-                    &computed
-                } else {
-                    entry
-                        .graph
-                        .get_or_init(|| InteractionGraph::from_circuit(factory.circuit()))
-                };
-                Some(MappingMetrics::compute(
-                    graph,
-                    &m.layout.mapping.to_points(),
-                ))
-            } else {
-                None
-            };
-            Ok(SweepRow {
-                label: point.label.clone(),
-                evaluation,
-                breakdown,
-                metrics,
-            })
-        };
-        if parallel {
-            indices
-                .par_iter()
-                .map(|&i| with_thread_engine(self.eval.sim, |engine| finalize(i, engine)))
-                .collect()
-        } else {
-            indices
-                .iter()
-                .map(|&i| with_thread_engine(self.eval.sim, |engine| finalize(i, engine)))
-                .collect()
-        }
-    }
-}
-
-/// One mapped chunk point: the layout, the private rewired factory copy (for
-/// port-rewiring strategies) and the content address (when caching).
-struct MappedPoint {
-    layout: Layout,
-    rewired: Option<Factory>,
-    key: Option<String>,
-}
-
-/// How one chunk point obtains its evaluation under lane batching.
-#[derive(Debug, Clone, Copy)]
-enum PointRole {
-    /// Occupies a batch lane (first occurrence of its key in the chunk).
-    Lane,
-    /// Duplicate of an earlier lane point in the same chunk: answered by
-    /// that lane's result through the cache.
-    Follower,
-    /// The evaluation cache already holds the key: never occupies a lane.
-    Cached,
-    /// Lane-incompatible (port-rewired circuit, or circuit × lanes would
-    /// overflow the wheel's event payload): simulated alone.
-    Solo,
 }
 
 /// A cached factory plus lazily derived, factory-invariant artifacts shared
@@ -1226,110 +732,6 @@ mod tests {
         let best = index.best_reuse("x", "Line", 4).unwrap();
         let min = results.rows.iter().map(|r| r.evaluation.volume).min();
         assert_eq!(Some(best.evaluation.volume), min);
-    }
-
-    #[test]
-    fn lane_widths_do_not_change_rows() {
-        // The same spec at every batching mode — off, narrow, default, wide,
-        // serial — must produce byte-identical rows.
-        let spec = small_spec().with_breakdowns().with_mapping_metrics();
-        let reference = spec.clone().with_lanes(0).run().unwrap();
-        for lanes in [2, DEFAULT_LANES, MAX_LANES] {
-            let batched = spec.clone().with_lanes(lanes);
-            assert_eq!(batched.run().unwrap(), reference, "parallel, {lanes} lanes");
-            assert_eq!(
-                batched.run_serial().unwrap(),
-                reference,
-                "serial, {lanes} lanes"
-            );
-        }
-    }
-
-    #[test]
-    fn lane_widths_do_not_change_rows_without_cache() {
-        let spec = small_spec().with_eval_cache(false);
-        let reference = spec.clone().with_lanes(0).run().unwrap();
-        assert_eq!(spec.clone().with_lanes(4).run().unwrap(), reference);
-        assert_eq!(spec.with_lanes(4).run_serial().unwrap(), reference);
-    }
-
-    #[test]
-    fn batch_stats_account_for_every_point() {
-        let spec = small_spec();
-        let outcome = spec.run_with(&RunControl::default()).unwrap();
-        let stats = outcome.batch;
-        assert_eq!(stats.lane_capacity, DEFAULT_LANES);
-        assert_eq!(
-            stats.points_batched + stats.points_solo + stats.points_from_cache,
-            spec.points.len() as u64
-        );
-        // The HS point rewires ports and must go solo.
-        assert!(stats.points_solo >= 1);
-        assert!(stats.points_batched >= 1);
-        assert_eq!(stats.lanes_filled, stats.points_batched);
-        assert!(stats.occupancy() > 0.0 && stats.occupancy() <= 1.0);
-        // Serial planning produces the same counters.
-        let serial = spec.run_serial_with(&RunControl::default()).unwrap();
-        assert_eq!(serial.batch, stats);
-    }
-
-    #[test]
-    fn batch_stats_are_zero_when_batching_is_off() {
-        let outcome = small_spec()
-            .with_lanes(0)
-            .run_with(&RunControl::default())
-            .unwrap();
-        assert_eq!(outcome.batch, BatchStats::default());
-        assert_eq!(outcome.batch.occupancy(), 0.0);
-    }
-
-    #[test]
-    fn duplicate_points_share_one_lane_via_the_cache() {
-        // Four copies of one point: one occupies a lane, the rest follow it
-        // through the eval cache, and the counters match an unbatched run.
-        let mut spec = SweepSpec::new("dup", EvaluationConfig::default());
-        for _ in 0..4 {
-            spec = spec.point("p", FactoryConfig::single_level(2), Strategy::linear());
-        }
-        let outcome = spec.run_with(&RunControl::default()).unwrap();
-        assert_eq!(outcome.batch.points_batched, 1);
-        assert_eq!(outcome.batch.points_from_cache, 3);
-        assert_eq!(
-            outcome.cache,
-            CacheStats {
-                hits: 3,
-                misses: 1,
-                ..CacheStats::default()
-            }
-        );
-        let unbatched = spec
-            .clone()
-            .with_lanes(0)
-            .run_with(&RunControl::default())
-            .unwrap();
-        assert_eq!(outcome.results, unbatched.results);
-        assert_eq!(outcome.cache, unbatched.cache);
-    }
-
-    #[test]
-    fn batched_errors_propagate_in_point_order() {
-        let spec = SweepSpec::new("t", EvaluationConfig::default())
-            .point("ok", FactoryConfig::single_level(2), Strategy::linear())
-            .point("bad", FactoryConfig::new(0, 1), Strategy::linear())
-            .with_lanes(4);
-        assert!(spec.run().is_err());
-        assert!(spec.run_serial().is_err());
-    }
-
-    #[test]
-    fn process_batch_counters_accumulate() {
-        let before = process_batch_stats();
-        let outcome = small_spec().run_with(&RunControl::default()).unwrap();
-        let delta = process_batch_stats().since(&before);
-        // Other tests share the process counters, so the delta is a floor.
-        assert!(delta.batches >= outcome.batch.batches);
-        assert!(delta.points_batched >= outcome.batch.points_batched);
-        assert!(delta.lane_capacity >= DEFAULT_LANES);
     }
 
     #[test]

@@ -259,7 +259,6 @@ pub fn sweep_spec_to_value(spec: &SweepSpec) -> Value {
                 Value::Bool(spec.collect_mapping_metrics),
             ),
             ("cache".to_string(), Value::Bool(spec.use_eval_cache)),
-            ("lanes".to_string(), Value::UInt(spec.lanes as u64)),
             ("points".to_string(), Value::Array(points)),
         ]
         .into_iter()
@@ -296,7 +295,6 @@ mod tests {
             .with_breakdowns()
             .with_mapping_metrics()
             .with_eval_cache(false)
-            .with_lanes(4)
     }
 
     #[test]

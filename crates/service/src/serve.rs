@@ -490,9 +490,10 @@ fn write_bench_report(dir: &std::path::Path, response: &Response) -> std::io::Re
 mod tests {
     use super::*;
 
-    fn session(lines: &'static str) -> (ServeSummary, Vec<Value>) {
+    fn session(lines: impl Into<String>) -> (ServeSummary, Vec<Value>) {
+        let input = std::io::Cursor::new(lines.into().into_bytes());
         let mut output: Vec<u8> = Vec::new();
-        let summary = serve(lines.as_bytes(), &mut output, &ServeOptions::new()).unwrap();
+        let summary = serve(input, &mut output, &ServeOptions::new()).unwrap();
         let text = String::from_utf8(output).unwrap();
         let values = text
             .lines()
@@ -571,6 +572,33 @@ mod tests {
             responses[2].get("status").and_then(Value::as_str),
             Some("ok"),
             "the session keeps serving after errors"
+        );
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_a_parse_error_and_serving_continues() {
+        // 200k unclosed brackets would overflow the reader thread's stack
+        // without the parser's depth limit, killing the whole session.
+        let lines = format!(
+            "{}\n{}\n",
+            "[".repeat(200_000),
+            r#"{"protocol_version": 1, "id": "ok", "kind": "evaluate", "factory": {"k": 2}, "strategy": {"strategy": "linear"}}"#,
+        );
+        let (summary, values) = session(lines);
+        assert_eq!(summary.responses, 2);
+        assert_eq!(summary.errors, 1);
+        let responses = responses(&values);
+        assert_eq!(
+            responses[0]
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Value::as_str),
+            Some("E_REQUEST_PARSE")
+        );
+        assert_eq!(responses[1].get("id").and_then(Value::as_str), Some("ok"));
+        assert_eq!(
+            responses[1].get("status").and_then(Value::as_str),
+            Some("ok")
         );
     }
 

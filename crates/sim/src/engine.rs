@@ -8,10 +8,9 @@
 //! thousands of simulations without touching the allocator on the hot path.
 //!
 //! The cell-acquisition machinery (static braid-path caching, adaptive
-//! Dijkstra routing, the merge buffers) lives in the [`Router`], shared with
-//! the lane-batched [`crate::batch::BatchEngine`]: the router takes the busy
-//! grid and the per-gate span slots as parameters, so the same code path
-//! serves one run or K lockstep lanes.
+//! Dijkstra routing, the merge buffers) lives in the [`Router`]: the router
+//! takes the busy grid and the per-gate span slots as parameters, so it holds
+//! only what survives from one run to the next.
 //!
 //! [`Simulator`] is the stateless façade kept for API compatibility: it spins
 //! up a fresh engine per call. The original allocating implementation is
@@ -50,14 +49,12 @@ impl CellSpan {
     }
 }
 
-/// The cell pool and routing scratch shared by [`SimEngine`] and the
-/// lane-batched [`crate::batch::BatchEngine`].
+/// The cell pool and routing scratch of a [`SimEngine`].
 ///
 /// A router owns everything cell acquisition needs that is not per-run
 /// simulation state: the pool backing every [`CellSpan`], the Dijkstra
 /// scratch, the merge buffers and the dedup stamps. The busy grid and the
-/// per-gate span slots are passed in by the caller, so one router can serve
-/// a single run or many lockstep lanes over the same mesh dimensions.
+/// per-gate span slots are passed in by the engine.
 #[derive(Debug, Default)]
 pub(crate) struct Router {
     /// Cell pool backing the static and reserved spans.

@@ -21,13 +21,6 @@ pub enum SimError {
     },
     /// The mapping grid is empty.
     EmptyGrid,
-    /// A set of lanes handed to [`crate::BatchEngine`] cannot share one
-    /// event wheel (mismatched grid dimensions, too many lanes, or an
-    /// oversized circuit × lane product).
-    LaneMismatch {
-        /// What made the lanes incompatible.
-        reason: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -40,9 +33,6 @@ impl fmt::Display for SimError {
                 write!(f, "simulation exceeded the cycle limit of {limit}")
             }
             SimError::EmptyGrid => write!(f, "mapping grid has no cells"),
-            SimError::LaneMismatch { reason } => {
-                write!(f, "incompatible batch lanes: {reason}")
-            }
         }
     }
 }
@@ -64,11 +54,6 @@ mod tests {
             .to_string()
             .contains("10"));
         assert!(!SimError::EmptyGrid.to_string().is_empty());
-        assert!(SimError::LaneMismatch {
-            reason: "grid 3x3 vs 4x4".to_string()
-        }
-        .to_string()
-        .contains("3x3"));
     }
 
     #[test]

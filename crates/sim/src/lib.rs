@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
 mod braid;
 mod config;
 mod engine;
@@ -54,7 +53,6 @@ mod events;
 pub mod reference;
 mod stats;
 
-pub use batch::{BatchEngine, BatchLane, MAX_LANES};
 pub use braid::{
     adaptive_path, adaptive_path_into, dimension_ordered_path, BraidPath, DijkstraScratch,
 };
